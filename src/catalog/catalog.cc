@@ -1,13 +1,88 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/str.h"
+#include "util/timer.h"
 
 namespace recycledb {
+
+namespace {
+
+/// Ascending, unique and below `rows`: the form in which MergeDelta and
+/// MaintainFkMap take a table's deletes.
+std::vector<Oid> NormalizedDeletes(std::vector<Oid> oids, size_t rows) {
+  std::sort(oids.begin(), oids.end());
+  oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+  oids.erase(std::lower_bound(oids.begin(), oids.end(), rows), oids.end());
+  return oids;
+}
+
+/// The delta merge behind both CommitWrite and OverlaySnapshot: each of a
+/// table's columns with the rows at `deletes` (NormalizedDeletes form)
+/// compacted out and the row-major `inserts` appended. Merged columns are
+/// persistent with their sortedness recomputed. `appended`, when non-null,
+/// receives per column the inserted values alone (null without inserts):
+/// the insert delta that §6.3 propagation runs over.
+std::vector<ColumnPtr> MergeDelta(
+    const std::vector<ColumnPtr>& cols, const std::vector<Oid>& deletes,
+    const std::vector<std::vector<Scalar>>& inserts,
+    std::vector<ColumnPtr>* appended) {
+  std::vector<ColumnPtr> merged;
+  merged.reserve(cols.size());
+  if (appended != nullptr) appended->assign(cols.size(), nullptr);
+  for (size_t ci = 0; ci < cols.size(); ++ci) {
+    RDB_CHECK(cols[ci] != nullptr);
+    const TypeTag ctype = cols[ci]->type();
+    VisitPhysical(ctype, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const auto& src = cols[ci]->Data<T>();
+      std::vector<T> fresh;
+      fresh.reserve(src.size() - deletes.size() + inserts.size());
+      size_t from = 0;
+      for (Oid d : deletes) {
+        fresh.insert(fresh.end(), src.begin() + from, src.begin() + d);
+        from = d + 1;
+      }
+      fresh.insert(fresh.end(), src.begin() + from, src.end());
+      const size_t kept = fresh.size();
+      for (const auto& row : inserts) fresh.push_back(row[ci].Get<T>());
+      if (appended != nullptr && !inserts.empty()) {
+        (*appended)[ci] = Column::Make(
+            ctype, std::vector<T>(fresh.begin() + kept, fresh.end()));
+      }
+      auto col = Column::Make(ctype, std::move(fresh));
+      col->set_persistent(true);
+      col->ComputeSorted();
+      merged.push_back(std::move(col));
+    });
+  }
+  return merged;
+}
+
+/// A table after its delta merge, as its FK indices see it.
+struct MergedTable {
+  std::vector<ColumnPtr> cols;  ///< the merged columns
+  std::vector<Oid> deletes;     ///< NormalizedDeletes form
+  size_t inserts = 0;
+
+  FkSideDelta Side(int key) const {
+    return {cols[key].get(), &deletes, inserts};
+  }
+};
+
+/// Records the microseconds since `sw` into `h` (when attached), then
+/// restarts `sw` for the next phase.
+void Lap(obs::LatencyHistogram* h, StopWatch* sw) {
+  if (h != nullptr)
+    h->Record(static_cast<uint64_t>(sw->ElapsedNanos() / 1000));
+  sw->Restart();
+}
+
+}  // namespace
 
 Result<BatPtr> CatalogSnapshot::BindColumn(const std::string& table,
                                            const std::string& column) const {
@@ -170,40 +245,19 @@ Status Catalog::RegisterFkIndex(const std::string& name,
   idx.parent_key = p->FindColumn(parent_key);
   if (idx.child_key < 0 || idx.parent_key < 0)
     return Status::NotFound("fk index key columns");
-  RDB_RETURN_NOT_OK(RebuildIndex(&idx));
-  index_by_name_[name] = static_cast<int>(indices_.size());
-  indices_.push_back(std::move(idx));
-  PublishSnapshot();
-  return Status::OK();
-}
-
-ColumnPtr Catalog::BuildFkMap(const ColumnPtr& child_key,
-                              const ColumnPtr& parent_key) {
-  const auto& cvals = child_key->Data<Oid>();
-  const auto& pvals = parent_key->Data<Oid>();
-  std::unordered_map<Oid, Oid> ppos;
-  ppos.reserve(pvals.size());
-  for (size_t j = 0; j < pvals.size(); ++j) ppos.emplace(pvals[j], j);
-  std::vector<Oid> map(cvals.size());
-  for (size_t i = 0; i < cvals.size(); ++i) {
-    auto it = ppos.find(cvals[i]);
-    map[i] = it == ppos.end() ? kNilOid : it->second;
-  }
-  auto col = Column::Make(TypeTag::kOid, std::move(map));
-  col->set_persistent(true);
-  return col;
-}
-
-Status Catalog::RebuildIndex(FkIndex* idx) {
-  const Table* c = tables_[idx->child_table].get();
-  const Table* p = tables_[idx->parent_table].get();
-  const ColumnPtr& ckey = c->column(idx->child_key);
-  const ColumnPtr& pkey = p->column(idx->parent_key);
+  const ColumnPtr& ckey = c->column(idx.child_key);
+  const ColumnPtr& pkey = p->column(idx.parent_key);
   if (ckey == nullptr || pkey == nullptr)
     return Status::Internal("fk index over unloaded columns");
   if (ckey->type() != TypeTag::kOid || pkey->type() != TypeTag::kOid)
     return Status::InvalidArgument("fk keys must be oid-typed");
-  idx->map = BuildFkMap(ckey, pkey);
+  // Registration is maintenance from an empty map: every child row is new.
+  idx.map = MaintainFkMap(FkMap{}, FkSideDelta{pkey.get()},
+                          FkSideDelta{ckey.get(), nullptr, ckey->size()})
+                .map;
+  index_by_name_[name] = static_cast<int>(indices_.size());
+  indices_.push_back(std::move(idx));
+  PublishSnapshot();
   return Status::OK();
 }
 
@@ -319,7 +373,7 @@ Result<BatPtr> Catalog::BindIndex(const std::string& index) {
   std::lock_guard<std::mutex> lock(bind_mu_);
   auto cached = index_bind_cache_.find(it->second);
   if (cached != index_bind_cache_.end()) return cached->second;
-  BatPtr b = Bat::DenseHead(indices_[it->second].map);
+  BatPtr b = Bat::DenseHead(indices_[it->second].map.col);
   index_bind_cache_[it->second] = b;
   return b;
 }
@@ -428,6 +482,7 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
     ws->deltas.clear();
     return Status::OK();
   }
+  StopWatch phase;
 
   // --- Phase 1: first-writer-wins conflict check + coordinate remap. Pure
   // over the catalog — a WriteConflict return leaves every table, cache,
@@ -476,82 +531,37 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
     remapped[tid] = std::move(oids);
   }
 
-  // --- Phase 2: the delta merge (the pre-transaction Commit body), reading
-  // deletes in their remapped current coordinates.
+  // --- Phase 2: the delta merge, reading deletes in their remapped
+  // current coordinates.
   std::vector<ColumnId> invalidated;
   last_insert_delta_.clear();
   last_commit_insert_only_.clear();
-  std::vector<int32_t> updated_tables;
+  std::map<int32_t, MergedTable> merged;
 
   for (auto& [tid, delta] : ws->deltas) {
     if (delta.Empty()) continue;
     Table* t = tables_[tid].get();
-    updated_tables.push_back(tid);
     last_commit_insert_only_[tid] = delta.deletes.empty();
-    const std::vector<Oid>& cur_deletes =
-        remapped.count(tid) ? remapped[tid] : delta.deletes;
-
-    std::vector<bool> deleted(t->rows_, false);
-    size_t del_count = 0;
-    for (Oid o : cur_deletes) {
-      if (o < t->rows_ && !deleted[o]) {
-        deleted[o] = true;
-        ++del_count;
-      }
-    }
-    size_t kept = t->rows_ - del_count;
-
+    auto rit = remapped.find(tid);
+    MergedTable& m = merged[tid];
+    m.deletes = NormalizedDeletes(
+        rit != remapped.end() ? rit->second : delta.deletes, t->rows_);
+    m.inserts = delta.inserts.size();
+    const size_t kept = t->rows_ - m.deletes.size();
+    std::vector<ColumnPtr> appended;
+    m.cols = MergeDelta(t->cols_, m.deletes, delta.inserts, &appended);
+    t->cols_ = m.cols;
     for (size_t ci = 0; ci < t->num_columns(); ++ci) {
-      TypeTag ctype = t->defs_[ci].type;
-      const ColumnPtr& old = t->cols_[ci];
-      RDB_CHECK(old != nullptr);
-      VisitPhysical(ctype, [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const auto& src = old->Data<T>();
-        std::vector<T> fresh;
-        fresh.reserve(kept + delta.inserts.size());
-        for (size_t i = 0; i < src.size(); ++i) {
-          if (!deleted[i]) fresh.push_back(src[i]);
-        }
-        std::vector<T> ins;
-        ins.reserve(delta.inserts.size());
-        for (const auto& row : delta.inserts) {
-          ins.push_back(row[ci].Get<T>());
-        }
-        // Record the insert delta for §6.3 propagation before merging.
-        if (!ins.empty()) {
-          auto dcol = Column::Make(ctype, ins);
-          last_insert_delta_[{tid, static_cast<int>(ci)}] =
-              Bat::Make(BatSide::Dense(kept), BatSide::Materialized(dcol),
-                        ins.size());
-        }
-        fresh.insert(fresh.end(), ins.begin(), ins.end());
-        auto col = Column::Make(ctype, std::move(fresh));
-        col->set_persistent(true);
-        col->ComputeSorted();
-        t->cols_[ci] = std::move(col);
-      });
+      // Record the insert delta for §6.3 propagation.
+      if (appended[ci] != nullptr) {
+        last_insert_delta_[{tid, static_cast<int>(ci)}] =
+            Bat::Make(BatSide::Dense(kept), BatSide::Materialized(appended[ci]),
+                      m.inserts);
+      }
       invalidated.push_back({tid, static_cast<int32_t>(ci)});
     }
-    t->rows_ = kept + delta.inserts.size();
+    t->rows_ = kept + m.inserts;
     InvalidateBindCache(tid);
-  }
-
-  // Rebuild join indices touching any updated table.
-  for (size_t k = 0; k < indices_.size(); ++k) {
-    FkIndex& idx = indices_[k];
-    bool touched = false;
-    for (int32_t tid : updated_tables) {
-      if (idx.child_table == tid || idx.parent_table == tid) touched = true;
-    }
-    if (!touched) continue;
-    RDB_RETURN_NOT_OK(RebuildIndex(&idx));
-    {
-      std::lock_guard<std::mutex> lock(bind_mu_);
-      index_bind_cache_.erase(static_cast<int>(k));
-    }
-    invalidated.push_back({idx.child_table,
-                           kIndexColBase + static_cast<int32_t>(k)});
   }
 
   // Record this commit's deletes (in the pre-commit coordinates computed by
@@ -572,9 +582,41 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
       hist.erase(hist.begin());
     }
   }
-
   ws->deltas.clear();
-  if (invalidated.empty()) return Status::OK();  // all deltas were empty
+  Lap(metrics_.merge_us, &phase);
+
+  // --- Phase 3: carry the join indices over the merge. An index whose map
+  // provably did not change keeps its column, its bind-cache entry and so
+  // its BAT identity, and is not reported: pool entries over it stay valid.
+  auto side = [&](int32_t tid, int key) {
+    auto mit = merged.find(tid);
+    return mit != merged.end() ? mit->second.Side(key)
+                               : FkSideDelta{tables_[tid]->column(key).get()};
+  };
+  for (size_t k = 0; k < indices_.size(); ++k) {
+    FkIndex& idx = indices_[k];
+    if (!merged.count(idx.child_table) && !merged.count(idx.parent_table))
+      continue;
+    FkMapUpdate u =
+        MaintainFkMap(idx.map, side(idx.parent_table, idx.parent_key),
+                      side(idx.child_table, idx.child_key));
+    if (u.outcome == FkMapOutcome::kKept) {
+      if (metrics_.kept != nullptr) metrics_.kept->Add(1);
+      continue;
+    }
+    obs::Counter* c = u.outcome == FkMapOutcome::kPatched ? metrics_.patched
+                                                          : metrics_.resolved;
+    if (c != nullptr) c->Add(1);
+    idx.map = std::move(u.map);
+    {
+      std::lock_guard<std::mutex> lock(bind_mu_);
+      index_bind_cache_.erase(static_cast<int>(k));
+    }
+    invalidated.push_back({idx.child_table,
+                           kIndexColBase + static_cast<int32_t>(k)});
+  }
+  Lap(metrics_.index_us, &phase);
+
   // Commit = merge deltas, let the listener reconcile the recycler pool and
   // plan cache against the columns that changed, and only THEN publish the
   // new snapshot and bump the epoch. Submissions that capture a snapshot
@@ -582,7 +624,9 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
   // it see a fully reconciled pool — no reader ever observes a half-applied
   // commit.
   if (listener_) listener_(invalidated, UpdateKind::kData);
+  Lap(metrics_.listener_us, &phase);
   PublishSnapshot();
+  Lap(metrics_.publish_us, &phase);
   return Status::OK();
 }
 
@@ -593,8 +637,7 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
   snap->cols_ = base->cols_;
   snap->indices_ = base->indices_;
 
-  // Merged key columns per touched table, for FK-index rebuilds below.
-  std::map<int32_t, std::map<int, ColumnPtr>> fresh_cols;
+  std::map<int32_t, MergedTable> merged;
 
   for (const auto& [tid, delta] : ws.deltas) {
     if (delta.Empty()) continue;
@@ -604,78 +647,64 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
     const Table* t = tables_[tid].get();
     const std::string& tname = t->name();
 
-    // Base row count and per-column source data come from the BEGIN
-    // snapshot — the write set's delete oids are in its coordinates.
-    RDB_ASSIGN_OR_RETURN(BatPtr probe,
-                         base->BindColumn(tname, t->column_name(0)));
-    const size_t base_rows = probe->size();
-    std::vector<bool> deleted(base_rows, false);
-    for (Oid o : delta.deletes) {
-      if (o < base_rows) deleted[o] = true;
-    }
-    size_t kept = base_rows;
-    for (Oid o : delta.deletes) {
-      if (o < base_rows) --kept;
-    }
-
+    // Source data comes from the BEGIN snapshot: the write set's delete
+    // oids are in its coordinates.
+    std::vector<ColumnPtr> old;
     for (size_t ci = 0; ci < t->num_columns(); ++ci) {
-      const std::string& cname = t->column_name(static_cast<int>(ci));
-      RDB_ASSIGN_OR_RETURN(BatPtr bound, base->BindColumn(tname, cname));
-      const ColumnPtr& old = bound->tail().col;
-      if (old == nullptr)
+      RDB_ASSIGN_OR_RETURN(
+          BatPtr bound,
+          base->BindColumn(tname, t->column_name(static_cast<int>(ci))));
+      if (bound->tail().col == nullptr)
         return Status::Internal("overlay over non-materialized base column");
-      TypeTag ctype = t->defs_[ci].type;
-      ColumnPtr merged;
-      VisitPhysical(ctype, [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const auto& src = old->Data<T>();
-        std::vector<T> fresh;
-        fresh.reserve(kept + delta.inserts.size());
-        for (size_t i = 0; i < src.size() && i < base_rows; ++i) {
-          if (!deleted[i]) fresh.push_back(src[i]);
-        }
-        for (const auto& row : delta.inserts) {
-          fresh.push_back(row[ci].Get<T>());
-        }
-        auto col = Column::Make(ctype, std::move(fresh));
-        col->set_persistent(true);
-        col->ComputeSorted();
-        merged = std::move(col);
-      });
-      fresh_cols[tid][static_cast<int>(ci)] = merged;
-      snap->cols_[{tname, cname}] = CatalogSnapshot::View{
-          {tid, static_cast<int32_t>(ci)}, Bat::DenseHead(merged)};
+      old.push_back(bound->tail().col);
+    }
+    if (old.empty())
+      return Status::Internal("overlay over a column-less table");
+    MergedTable& m = merged[tid];
+    m.deletes = NormalizedDeletes(delta.deletes, old[0]->size());
+    m.inserts = delta.inserts.size();
+    m.cols = MergeDelta(old, m.deletes, delta.inserts, nullptr);
+    for (size_t ci = 0; ci < m.cols.size(); ++ci) {
+      snap->cols_[{tname, t->column_name(static_cast<int>(ci))}] =
+          CatalogSnapshot::View{{tid, static_cast<int32_t>(ci)},
+                                Bat::DenseHead(m.cols[ci])};
     }
   }
 
-  // Rebuild FK indices whose child or parent table the write set touched,
-  // over the overlay's merged key columns.
+  // Carry the base's FK maps over the write set, exactly as a commit would.
+  auto side = [&](int32_t tid, int ci) -> Result<FkSideDelta> {
+    auto mit = merged.find(tid);
+    if (mit != merged.end()) return mit->second.Side(ci);
+    const Table* t = tables_[tid].get();
+    RDB_ASSIGN_OR_RETURN(BatPtr bound,
+                         base->BindColumn(t->name(), t->column_name(ci)));
+    if (bound->tail().col == nullptr)
+      return Status::Internal("overlay index over non-materialized column");
+    return FkSideDelta{bound->tail().col.get()};
+  };
   for (size_t k = 0; k < indices_.size(); ++k) {
     const FkIndex& idx = indices_[k];
-    const bool touched = fresh_cols.count(idx.child_table) ||
-                         fresh_cols.count(idx.parent_table);
-    if (!touched) continue;
-    auto key_col = [&](int32_t tid, int ci) -> Result<ColumnPtr> {
-      auto fit = fresh_cols.find(tid);
-      if (fit != fresh_cols.end()) {
-        auto cit = fit->second.find(ci);
-        if (cit != fit->second.end()) return cit->second;
-      }
-      const Table* t = tables_[tid].get();
-      RDB_ASSIGN_OR_RETURN(
-          BatPtr bound, base->BindColumn(t->name(), t->column_name(ci)));
-      if (bound->tail().col == nullptr)
-        return Status::Internal("overlay index over non-materialized column");
-      return bound->tail().col;
-    };
-    RDB_ASSIGN_OR_RETURN(ColumnPtr ckey, key_col(idx.child_table, idx.child_key));
-    RDB_ASSIGN_OR_RETURN(ColumnPtr pkey,
-                         key_col(idx.parent_table, idx.parent_key));
-    if (ckey->type() != TypeTag::kOid || pkey->type() != TypeTag::kOid)
-      return Status::InvalidArgument("fk keys must be oid-typed");
+    if (!merged.count(idx.child_table) && !merged.count(idx.parent_table))
+      continue;
+    RDB_ASSIGN_OR_RETURN(FkSideDelta parent,
+                         side(idx.parent_table, idx.parent_key));
+    RDB_ASSIGN_OR_RETURN(FkSideDelta child,
+                         side(idx.child_table, idx.child_key));
+    // The base's map, with the live summaries when it is the live column.
+    // An index registered after the transaction began starts from empty.
+    FkMap old;
+    auto bit = base->indices_.find(idx.name);
+    if (bit != base->indices_.end()) {
+      const ColumnPtr& col = bit->second.bat->tail().col;
+      old = col == idx.map.col ? idx.map : FkMap::Of(col);
+    } else {
+      child = FkSideDelta{child.key, nullptr, child.key->size()};
+    }
+    FkMapUpdate u = MaintainFkMap(old, parent, child);
+    if (u.outcome == FkMapOutcome::kKept) continue;
     snap->indices_[idx.name] = CatalogSnapshot::View{
         {idx.child_table, kIndexColBase + static_cast<int32_t>(k)},
-        Bat::DenseHead(BuildFkMap(ckey, pkey))};
+        Bat::DenseHead(u.map.col)};
   }
   return CatalogSnapshotPtr(std::move(snap));
 }
@@ -696,6 +725,20 @@ bool Catalog::LastCommitInsertOnly(const std::string& table) const {
   return it != last_commit_insert_only_.end() && it->second;
 }
 
+void Catalog::AttachMetrics(obs::MetricsRegistry* registry) {
+  if (registry == nullptr) {
+    metrics_ = CommitMetrics{};
+    return;
+  }
+  metrics_.merge_us = registry->AddHistogram("commit_merge_us");
+  metrics_.index_us = registry->AddHistogram("commit_index_us");
+  metrics_.listener_us = registry->AddHistogram("commit_listener_us");
+  metrics_.publish_us = registry->AddHistogram("commit_publish_us");
+  metrics_.kept = registry->AddCounter("commit_index_kept");
+  metrics_.patched = registry->AddCounter("commit_index_patched");
+  metrics_.resolved = registry->AddCounter("commit_index_resolved");
+}
+
 size_t Catalog::TotalPersistentBytes() const {
   size_t bytes = 0;
   for (const auto& t : tables_) {
@@ -705,7 +748,7 @@ size_t Catalog::TotalPersistentBytes() const {
     }
   }
   for (const auto& idx : indices_) {
-    if (idx.map) bytes += idx.map->MemoryBytes();
+    if (idx.map.col) bytes += idx.map.col->MemoryBytes();
   }
   return bytes;
 }
@@ -744,7 +787,7 @@ size_t Catalog::BuildEncodings() {
     if (!t) continue;
     for (size_t ci = 0; ci < t->num_columns(); ++ci) try_attach(t->column(ci));
   }
-  for (const auto& idx : indices_) try_attach(idx.map);
+  for (const auto& idx : indices_) try_attach(idx.map.col);
   return encoded;
 }
 

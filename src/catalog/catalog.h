@@ -11,9 +11,16 @@
 #include <vector>
 
 #include "bat/bat.h"
+#include "catalog/fk_map.h"
 #include "util/status.h"
 
 namespace recycledb {
+
+namespace obs {
+class Counter;
+class LatencyHistogram;
+class MetricsRegistry;
+}  // namespace obs
 
 /// Identifies a persistent column (or a join index, which gets a pseudo
 /// column id). The recycler tracks per-intermediate dependency sets of
@@ -165,8 +172,10 @@ class Catalog {
                     bool key = false);
 
   /// Registers a foreign-key join index `name`: for each row of
-  /// `child_table`, the oid (position) of the matching `parent_table` row,
-  /// computed by matching `child_key` to `parent_key`. Rebuilt on commit.
+  /// `child_table`, the oid (position) of the first `parent_table` row
+  /// whose `parent_key` equals the row's `child_key`, or nil. Commits carry
+  /// the map over their deltas incrementally (MaintainFkMap); a commit that
+  /// cannot change it leaves the index's BAT in place.
   Status RegisterFkIndex(const std::string& name, const std::string& child_table,
                          const std::string& child_key,
                          const std::string& parent_table,
@@ -237,19 +246,22 @@ class Catalog {
   /// (Status::WriteConflict when a commit after ws->begin_epoch deleted or
   /// updated one of ws's victim rows; the catalog is untouched on failure),
   /// then the delta merge — inserts appended, deletions compacted, join
-  /// indices rebuilt, bind caches refreshed, the update listener notified
-  /// ONCE with every invalidated ColumnId, and the next snapshot epoch
-  /// published. The write set is cleared on success. Must be externally
-  /// serialised like every mutator (the service's exclusive update lock).
+  /// index maps carried over the deltas (an index whose map cannot change
+  /// keeps its BAT and is not reported), bind caches refreshed, the update
+  /// listener notified ONCE with every invalidated ColumnId, and the next
+  /// snapshot epoch published. The write set is cleared on success. Must be
+  /// externally serialised like every mutator (the service's exclusive
+  /// update lock).
   Status CommitWrite(TxnWriteSet* ws);
 
   /// The transaction's read view: `base` (its begin snapshot) with the
   /// write set's deltas merged in — fresh columns for every touched table
-  /// (deleted rows compacted out, pending inserts appended) and join
-  /// indices over touched tables rebuilt. Untouched tables keep the base
-  /// snapshot's BATs (and their identities). Reads schema metadata, so the
-  /// caller must hold the update lock shared; the returned snapshot carries
-  /// the base epoch and is immutable like any other.
+  /// (deleted rows compacted out, pending inserts appended) and join index
+  /// maps carried over the deltas as CommitWrite does. Untouched tables and
+  /// unchanged maps keep the base snapshot's BATs (and their identities).
+  /// Reads schema metadata, so the caller must hold the update lock shared;
+  /// the returned snapshot carries the base epoch and is immutable like any
+  /// other.
   Result<CatalogSnapshotPtr> OverlaySnapshot(const CatalogSnapshotPtr& base,
                                              const TxnWriteSet& ws);
 
@@ -281,6 +293,14 @@ class Catalog {
   /// would silently disconnect the first one's invalidation hook.
   bool HasUpdateListener() const { return static_cast<bool>(listener_); }
 
+  /// Registers the commit phase histograms in `registry` — commit_merge_us
+  /// (conflict check and delta merge), commit_index_us, commit_listener_us
+  /// and commit_publish_us, one sample each per CommitWrite — and the FK
+  /// index outcome counters commit_index_kept, commit_index_patched and
+  /// commit_index_resolved (see FkMapOutcome), then records into them;
+  /// null detaches. Serialised like DDL.
+  void AttachMetrics(obs::MetricsRegistry* registry);
+
   size_t TotalPersistentBytes() const;
 
   /// Attaches compressed sidecars to the loaded persistent columns:
@@ -300,7 +320,7 @@ class Catalog {
     std::string name;
     int32_t child_table, parent_table;
     int child_key, parent_key;
-    ColumnPtr map;  // oid positions into parent, aligned with child rows
+    FkMap map;  // oid positions into parent, aligned with child rows
   };
 
   /// One committed transaction's effect on a table's row coordinates, kept
@@ -314,11 +334,6 @@ class Catalog {
     std::vector<Oid> deleted_sorted;  ///< oids deleted, pre-commit coords
   };
 
-  Status RebuildIndex(FkIndex* idx);
-  /// Builds the [child row -> parent row] FK map by key matching; the
-  /// overlay path reuses it over merged transaction-local columns.
-  static ColumnPtr BuildFkMap(const ColumnPtr& child_key,
-                              const ColumnPtr& parent_key);
   void InvalidateBindCache(int32_t table_id);
   /// Bumps the epoch and atomically installs a fresh immutable snapshot of
   /// every loaded column/index (resolved through the bind caches, so
@@ -355,6 +370,16 @@ class Catalog {
   /// lock-free; writers are externally serialised like all mutators).
   std::atomic<uint64_t> epoch_{0};
   std::shared_ptr<const CatalogSnapshot> snapshot_;
+  /// AttachMetrics' registrations; all null while detached.
+  struct CommitMetrics {
+    obs::LatencyHistogram* merge_us = nullptr;
+    obs::LatencyHistogram* index_us = nullptr;
+    obs::LatencyHistogram* listener_us = nullptr;
+    obs::LatencyHistogram* publish_us = nullptr;
+    obs::Counter* kept = nullptr;
+    obs::Counter* patched = nullptr;
+    obs::Counter* resolved = nullptr;
+  } metrics_;
 };
 
 /// Pseudo column id space for join indices: col = kIndexColBase + index slot.

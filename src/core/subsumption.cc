@@ -1,8 +1,10 @@
 #include "core/subsumption.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
+#include "engine/materialize.h"
 #include "engine/operators.h"
 #include "util/timer.h"
 
@@ -114,6 +116,34 @@ bool IsContainsPattern(const std::string& pattern, std::string* literal) {
   return true;
 }
 
+/// Dense heads and sorted key columns: head oid order IS row order.
+bool HeadStrictlyAscending(const Bat& b) {
+  const BatSide& h = b.head();
+  return h.dense() || (h.col->sorted() && h.col->key());
+}
+
+/// Concatenates disjoint pieces of one select's operand, each in operand
+/// order, back into operand order, so a combined result is
+/// indistinguishable from a plain select over the operand: same rows, same
+/// order, a sorted key head. The operand's head must be strictly ascending
+/// (HeadStrictlyAscending), which makes operand order ascending head order.
+Result<BatPtr> MergeInHeadOrder(const std::vector<BatPtr>& pieces) {
+  RDB_ASSIGN_OR_RETURN(BatPtr all, engine::Concat(pieces));
+  if (pieces.size() == 1) return all;
+  const size_t n = all->size();
+  // Concat materializes the head of two or more pieces.
+  const Oid* heads = all->head().col->Data<Oid>().data() + all->head().offset;
+  engine::SelVector sel(n);
+  std::iota(sel.begin(), sel.end(), 0u);
+  std::sort(sel.begin(), sel.end(),
+            [heads](uint32_t a, uint32_t b) { return heads[a] < heads[b]; });
+  BatSide head = engine::TakeSide(all->head(), n, sel);
+  Column* hcol = const_cast<Column*>(head.col.get());  // fresh, unshared
+  hcol->set_sorted(true);
+  hcol->set_key(true);
+  return Bat::Make(std::move(head), engine::TakeSide(all->tail(), n, sel), n);
+}
+
 }  // namespace
 
 ValRange RangeOfSelect(const std::vector<MalValue>& args) {
@@ -185,6 +215,9 @@ std::optional<SubsumeOutcome> SubsumptionEngine::TrySelect(
 std::optional<SubsumeOutcome> SubsumptionEngine::TryCombined(
     const ValRange& target, const std::vector<MalValue>& args,
     std::vector<PoolEntry*> cands) {
+  // The pieces come back in range order; only a strictly ascending operand
+  // head lets MergeInHeadOrder restore the operand's row order from oids.
+  if (!HeadStrictlyAscending(*args[0].bat())) return std::nullopt;
   StopWatch alg_timer;
 
   // R: candidates overlapping the target (Algorithm 2 lines 6-9), bounded to
@@ -304,11 +337,11 @@ std::optional<SubsumeOutcome> SubsumptionEngine::TryCombined(
   }
   if (!done || pieces.empty()) return std::nullopt;
 
-  auto cat = engine::Concat(pieces);
-  if (!cat.ok()) return std::nullopt;
+  auto merged = MergeInHeadOrder(pieces);
+  if (!merged.ok()) return std::nullopt;
 
   SubsumeOutcome out;
-  out.results.emplace_back(std::move(cat).value());
+  out.results.emplace_back(std::move(merged).value());
   out.sources = std::move(used);
   out.combined = true;
   out.algorithm_ms = alg_ms;

@@ -119,6 +119,7 @@ QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
   // constructor's contract): a second attach would silently disconnect the
   // first service's invalidation hook, so fail loudly instead.
   RDB_CHECK(!catalog_->HasUpdateListener());
+  catalog_->AttachMetrics(&metrics_);
   // Commits and DDL report their invalidated columns here; ApplyUpdate's
   // exclusive lock makes the pool and plan-cache maintenance atomic w.r.t.
   // query execution.
@@ -181,6 +182,7 @@ QueryService::~QueryService() {
   queue_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   catalog_->SetUpdateListener(nullptr);
+  catalog_->AttachMetrics(nullptr);
 }
 
 std::future<Result<QueryResult>> QueryService::Submit(

@@ -167,7 +167,7 @@ class StmtPlanner {
     RDB_RETURN_NOT_OK(SetupScopes());
     // INNER JOIN is filtering even when no parent column is ever fetched:
     // restrict the candidates to rows whose FK hop resolves (deletions
-    // leave orphaned children mapped to nil in the rebuilt index). This
+    // leave orphaned children mapped to nil in the maintained index). This
     // also keeps later per-column fetches row-aligned — a nil hop would
     // silently drop rows from parent columns but not child columns.
     for (size_t si = 1; si < scopes_.size(); ++si) {

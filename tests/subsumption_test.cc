@@ -6,6 +6,9 @@
 #include "core/subsumption.h"
 #include "interp/interpreter.h"
 #include "mal/plan_builder.h"
+#include "server/query_service.h"
+#include "sql_test_util.h"
+#include "tpch/tpch.h"
 #include "util/rng.h"
 
 namespace recycledb {
@@ -250,6 +253,89 @@ TEST(CombinedSubsumptionTest, RejectedWhenCostExceedsBase) {
   ASSERT_TRUE(interp.Run(p, {Scalar::Int(200), Scalar::Int(9500)}).ok());
   EXPECT_EQ(rec.stats().combined_hits, ch0)
       << "combination costing more than the base scan must be rejected";
+}
+
+/// The rows of a [oid -> int] bat, in order.
+std::vector<std::pair<Oid, int32_t>> Rows(const Bat& b) {
+  std::vector<std::pair<Oid, int32_t>> rows;
+  for (size_t i = 0; i < b.size(); ++i) {
+    const Oid h = b.head().dense()
+                      ? b.head().seq + i
+                      : b.head().col->Data<Oid>()[b.head().offset + i];
+    rows.emplace_back(h, b.tail().col->Data<int32_t>()[b.tail().offset + i]);
+  }
+  return rows;
+}
+
+TEST(CombinedSubsumptionTest, ResultIsIndistinguishableFromAPlainSelect) {
+  auto cat1 = Db(8000, 4);
+  auto cat2 = Db(8000, 4);
+  Recycler rec;
+  Interpreter interp(cat1.get(), &rec);
+  Interpreter plain(cat2.get());
+  PlanBuilder b("rows");
+  int lo = b.Param("A0");
+  int hi = b.Param("A1");
+  int sel = b.Select(b.Bind("t", "v"), lo, hi, true, true);
+  b.ExportBat(sel, "rows");
+  Program p = b.Build();
+  MarkForRecycling(&p);
+
+  // Pieces cached in an order other than their ranges'.
+  ASSERT_TRUE(interp.Run(p, {Scalar::Int(3000), Scalar::Int(4100)}).ok());
+  ASSERT_TRUE(interp.Run(p, {Scalar::Int(900), Scalar::Int(2100)}).ok());
+  ASSERT_TRUE(interp.Run(p, {Scalar::Int(2000), Scalar::Int(3100)}).ok());
+  uint64_t ch0 = rec.stats().combined_hits;
+  auto got =
+      interp.Run(p, {Scalar::Int(1000), Scalar::Int(4000)}).ValueOrDie();
+  ASSERT_GT(rec.stats().combined_hits, ch0);
+  auto expect =
+      plain.Run(p, {Scalar::Int(1000), Scalar::Int(4000)}).ValueOrDie();
+  const Bat& g = *got.Find("rows")->bat();
+  EXPECT_EQ(Rows(g), Rows(*expect.Find("rows")->bat()))
+      << "same rows in the same (operand) order";
+  ASSERT_FALSE(g.head().dense());
+  EXPECT_TRUE(g.head().col->sorted());
+  EXPECT_TRUE(g.head().col->key());
+}
+
+/// Two QueryServices over separate SF 0.01 TPC-H copies, one recycling.
+class CombinedSubsumptionSqlTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<QueryService> Service(bool recycle) {
+    auto cat = std::make_unique<Catalog>();
+    tpch::TpchConfig tcfg;
+    tcfg.scale_factor = 0.01;
+    EXPECT_TRUE(tpch::LoadTpch(cat.get(), tcfg).ok());
+    ServiceConfig cfg;
+    cfg.num_workers = 1;
+    cfg.enable_recycler = recycle;
+    return std::make_unique<QueryService>(std::move(cat), cfg);
+  }
+};
+
+// A combined result is a subset of its pieces' union, not of any one
+// piece: recording it under a piece in the subset lattice let a later
+// semijoin subsume from that piece's semijoin and drop the other pieces'
+// rows (the third statement returned about 2/3 of its answer).
+TEST_F(CombinedSubsumptionSqlTest, OverlappingDiscountBandsMatchNoRecycler) {
+  auto on = Service(true);
+  auto off = Service(false);
+  Session s_on, s_off;
+  for (const char* band : {"0.05 and 0.07", "0.07 and 0.09", "0.06 and 0.08"}) {
+    const std::string q =
+        std::string(
+            "select sum(l_extendedprice * l_discount) from lineitem where "
+            "l_shipdate >= date '1994-01-01' and l_shipdate < date "
+            "'1995-01-01' and l_discount between ") +
+        band + " and l_quantity < 24";
+    auto a = testutil::RunSql(on.get(), &s_on, q);
+    auto b = testutil::RunSql(off.get(), &s_off, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q;
+    EXPECT_EQ(a.value().ToString(), b.value().ToString()) << band;
+  }
+  EXPECT_GT(on->recycler().stats().combined_hits, 0u)
+      << "the last band must be answered by combined subsumption";
 }
 
 }  // namespace
